@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzScheduleQuery -fuzztime 30s ./internal/sched
 	$(GO) test -run XXX -fuzz FuzzKPIQuery -fuzztime 30s ./internal/kpi
+	$(GO) test -run XXX -fuzz FuzzKPIReportOwnerKeys -fuzztime 30s ./internal/kpi
 	$(GO) test -run XXX -fuzz FuzzLintDirectives -fuzztime 30s ./internal/lint
 
 # Short fuzz pass for CI: 10 seconds per target, enough to catch a freshly
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzScheduleQuery -fuzztime 10s ./internal/sched
 	$(GO) test -run XXX -fuzz FuzzKPIQuery -fuzztime 10s ./internal/kpi
+	$(GO) test -run XXX -fuzz FuzzKPIReportOwnerKeys -fuzztime 10s ./internal/kpi
 	$(GO) test -run XXX -fuzz FuzzLintDirectives -fuzztime 10s ./internal/lint
 
 # Soak: the end-to-end extraction→market loop under fault injection and

@@ -408,7 +408,7 @@ func fetchKPI(httpClient *http.Client, baseURL string) (kpi.Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return rep, fmt.Errorf("GET /kpi: %s", resp.Status)
 	}
@@ -464,13 +464,22 @@ func postScheduleRun(ctx context.Context, httpClient *http.Client, baseURL strin
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("POST /schedule/run: %s", resp.Status)
 	}
-	// Drain so the connection is reused.
+	// A round whose summary did not arrive whole counts as failed.
 	_, err = io.Copy(io.Discard, resp.Body)
 	return err
+}
+
+// drainClose reads a response body to EOF before closing it: the
+// transport returns a keep-alive connection to its pool only when the
+// body was fully read, and a json.Decoder stops before the trailing
+// newline.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, body)
+	body.Close()
 }
 
 // fetchShardStats scrapes the target's /metrics JSON exposition and
@@ -480,7 +489,7 @@ func fetchShardStats(httpClient *http.Client, baseURL string) ([]ShardReport, er
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET /metrics: %s", resp.Status)
 	}

@@ -181,7 +181,9 @@ func TestKPIIncrementalBatchEquivalence(t *testing.T) {
 }
 
 // assertEquivalent requires the incremental and batch reports to be
-// bitwise-identical, and both to serialise (no NaN/Inf snuck in).
+// bitwise-identical, both to serialise (no NaN/Inf snuck in), and the
+// tracker's cached encoding to match the reflection encoding for every
+// owner selection.
 func assertEquivalent(t *testing.T, step int, tr *Tracker, cfg Config, history []market.StoreEvent, dead map[string]uint64) {
 	t.Helper()
 	inc := tr.Report()
@@ -195,6 +197,7 @@ func assertEquivalent(t *testing.T, step int, tr *Tracker, cfg Config, history [
 	if _, err := json.Marshal(inc); err != nil {
 		t.Fatalf("step %d: report not serialisable (NaN/Inf?): %v", step, err)
 	}
+	assertCachedJSON(t, fmt.Sprintf("step %d", step), inc, tr.AppendReportJSON)
 }
 
 // TestFromRecordsMatchesReplayBootstrap checks the REST-facing recompute:

@@ -1,9 +1,11 @@
 package kpi
 
 import (
-	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
+
+	"repro/internal/market"
 )
 
 // Handler serves the KPI API:
@@ -19,54 +21,36 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// handleKPI renders the report from the tracker's per-scope encoding
+// cache: the bytes are copied out under the tracker lock and written
+// after it is released.
 func (s *Service) handleKPI(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		kpiError(w, http.StatusMethodNotAllowed, "method not allowed")
+		market.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	q := r.URL.Query()
-	owner, hasOwner := "", false
-	if raw := q.Get("owner"); raw != "" {
-		owner, hasOwner = raw, true
-	}
-	withOwners := true
+	sel := Selection{Owner: q.Get("owner")}
 	if raw := q.Get("owners"); raw != "" {
 		b, err := strconv.ParseBool(raw)
 		if err != nil {
-			kpiError(w, http.StatusBadRequest, "owners must be a boolean")
+			market.WriteJSONError(w, http.StatusBadRequest, "owners must be a boolean")
 			return
 		}
-		withOwners = b
+		sel.NoOwners = !b
 	}
-	if hasOwner && !withOwners {
-		kpiError(w, http.StatusBadRequest, "owner and owners=false are mutually exclusive")
+	if sel.Owner != "" && sel.NoOwners {
+		market.WriteJSONError(w, http.StatusBadRequest, "owner and owners=false are mutually exclusive")
 		return
 	}
 
-	rep := s.Report()
-	if hasOwner {
-		vals, ok := rep.Owners[owner]
-		if !ok {
-			kpiError(w, http.StatusNotFound, "unknown owner "+strconv.Quote(owner))
-			return
-		}
-		rep.Owners = map[string]Values{owner: vals}
-	} else if !withOwners {
-		rep.Owners = nil
+	body, err := s.drain().AppendReportJSON(nil, sel)
+	switch {
+	case errors.Is(err, ErrUnknownOwner):
+		market.WriteJSONError(w, http.StatusNotFound, err.Error())
+	case err != nil:
+		market.WriteJSONError(w, http.StatusInternalServerError, err.Error())
+	default:
+		market.WriteRawJSON(w, http.StatusOK, body)
 	}
-	kpiJSON(w, http.StatusOK, rep)
-}
-
-// kpiJSON writes a JSON response.
-func kpiJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// kpiError writes the API's JSON error envelope.
-func kpiError(w http.ResponseWriter, status int, msg string) {
-	kpiJSON(w, status, struct {
-		Error string `json:"error"`
-	}{Error: msg})
 }

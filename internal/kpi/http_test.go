@@ -1,10 +1,12 @@
 package kpi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -121,6 +123,39 @@ func TestKPIHandler(t *testing.T) {
 		}
 		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error == "" {
 			t.Errorf("%s %s: missing error envelope: %s", tc.method, tc.target, body)
+		}
+	}
+}
+
+// TestKPIHandlerBodyMatchesReport: each selection's response body is
+// byte-identical to the reflection encoding of the filtered Report and
+// carries its Content-Length.
+func TestKPIHandlerBodyMatchesReport(t *testing.T) {
+	svc, _ := newTestService(t)
+	h := svc.Handler()
+	for _, tc := range []struct {
+		target string
+		sel    Selection
+	}{
+		{"/kpi", Selection{}},
+		{"/kpi?owners=true", Selection{}},
+		{"/kpi?owners=false", Selection{NoOwners: true}},
+		{"/kpi?owner=house-b", Selection{Owner: "house-b"}},
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", tc.target, nil))
+		body := rr.Body.Bytes()
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", tc.target, rr.Code, body)
+		}
+		if want := oracleJSON(t, svc.Report(), tc.sel); !bytes.Equal(body, want) {
+			t.Errorf("GET %s body:\n got %s\nwant %s", tc.target, body, want)
+		}
+		if got, want := rr.Header().Get("Content-Length"), strconv.Itoa(len(body)); got != want {
+			t.Errorf("GET %s Content-Length = %q, want %q", tc.target, got, want)
+		}
+		if got := rr.Header().Get("Content-Type"); got != "application/json" {
+			t.Errorf("GET %s Content-Type = %q", tc.target, got)
 		}
 	}
 }

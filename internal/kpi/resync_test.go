@@ -132,6 +132,9 @@ func TestServiceResyncEquivalence(t *testing.T) {
 				t.Fatalf("resynced report diverges from never-lagged fold after %d resyncs:\ngot  %+v\nwant %+v",
 					svc.Resyncs(), got, want)
 			}
+			// The resynced tracker's encoding cache started cold and must
+			// render the same bytes as the reflection encoder.
+			assertCachedJSON(t, "after resync", got, svc.drain().AppendReportJSON)
 		})
 	}
 }

@@ -1,6 +1,11 @@
 package kpi
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -68,11 +73,15 @@ func (c *curve) peakKWh() float64 {
 	return c.peak
 }
 
-// scope is one accumulation target (the global tally or one owner).
+// scope is one accumulation target (the global tally or one owner). It
+// caches its encoded values so a report re-encodes only the scopes folded
+// into since the last read.
 type scope struct {
 	totals   Totals
 	baseline curve
 	realised curve
+	key      []byte // JSON-encoded owner key (nil for the global scope)
+	encoded  []byte // json.Marshal(values()); nil once a fold made it stale
 }
 
 // values snapshots the scope into a derived Values.
@@ -83,20 +92,37 @@ func (sc *scope) values() Values {
 	return deriveValues(t)
 }
 
+// encodedValues returns the cached encoding of values(), re-encoding it
+// first when a fold cleared the cache.
+func (sc *scope) encodedValues() ([]byte, error) {
+	if sc.encoded == nil {
+		b, err := json.Marshal(sc.values())
+		if err != nil {
+			return nil, fmt.Errorf("kpi: encode scope: %w", err)
+		}
+		sc.encoded = b
+	}
+	return sc.encoded, nil
+}
+
 // Tracker is the incremental KPI engine: Apply folds one store event in
 // O(1) (amortised over the event's profile slices), and Report snapshots
 // the derived indicators at any point. A Tracker fed a store's
 // SubscribeReplay stream converges on the same Report that Compute
 // derives from the full event history — the equivalence the property
-// test pins. All methods are safe for concurrent use.
+// test pins. AppendReportJSON renders the same report from per-scope
+// cached encodings. All methods are safe for concurrent use.
 type Tracker struct {
-	cfg Config
+	cfg     Config
+	cfgJSON []byte // json.Marshal(cfg.view()), fixed at construction
 
 	mu     sync.Mutex
 	events uint64            // guarded by mu: events folded (replay and live)
 	global scope             // guarded by mu
 	owners map[string]*scope // guarded by mu, keyed by ConsumerID
 	state  map[string]phase  // guarded by mu: live (non-terminal) offers
+	order  []string          // guarded by mu: owner keys; new owners appended unsorted
+	sorted int               // guarded by mu: length of order's sorted prefix
 }
 
 // NewTracker builds an empty tracker with the given configuration (zero
@@ -105,20 +131,28 @@ func NewTracker(cfg Config) (*Tracker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfgJSON, err := json.Marshal(cfg.view())
+	if err != nil {
+		return nil, fmt.Errorf("kpi: encode config: %w", err)
+	}
 	return &Tracker{
-		cfg:    cfg.withDefaults(),
-		owners: make(map[string]*scope),
-		state:  make(map[string]phase),
+		cfg:     cfg.withDefaults(),
+		cfgJSON: cfgJSON,
+		owners:  make(map[string]*scope),
+		state:   make(map[string]phase),
 	}, nil
 }
 
 // ownerScopeLocked returns (creating if needed) the owner's accumulation
-// scope. The caller must hold t.mu.
+// scope. A new owner joins the key order unsorted; the next rendered
+// report sorts it in. The caller must hold t.mu.
 func (t *Tracker) ownerScopeLocked(owner string) *scope {
 	sc := t.owners[owner]
 	if sc == nil {
-		sc = &scope{}
+		key, _ := json.Marshal(owner) // a string always encodes
+		sc = &scope{key: key}
 		t.owners[owner] = sc
+		t.order = append(t.order, owner)
 	}
 	return sc
 }
@@ -143,6 +177,7 @@ func (t *Tracker) Apply(ev market.StoreEvent) {
 		t.fold(&t.global, k, ev)
 		t.fold(owner, k, ev)
 	}
+	t.global.encoded, owner.encoded = nil, nil
 }
 
 // expandLocked translates one event into its fold steps given the
@@ -256,8 +291,10 @@ func (t *Tracker) ObserveDeadLetters(owner string, n uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	sc := t.ownerScopeLocked(owner)
 	t.global.totals.DeadLettered += n
-	t.ownerScopeLocked(owner).totals.DeadLettered += n
+	sc.totals.DeadLettered += n
+	t.global.encoded, sc.encoded = nil, nil
 }
 
 // Report snapshots every scope's derived KPI values.
@@ -274,6 +311,79 @@ func (t *Tracker) Report() Report {
 		rep.Owners[owner] = sc.values()
 	}
 	return rep
+}
+
+// ErrUnknownOwner reports a Selection naming an owner the tracker has not
+// seen.
+var ErrUnknownOwner = errors.New("unknown owner")
+
+// Selection picks the per-owner breakdown a rendered report carries: every
+// owner (the zero value), one named owner, or none.
+type Selection struct {
+	// Owner, when non-empty, narrows the breakdown to that one owner.
+	Owner string
+	// NoOwners drops the breakdown entirely; Owner takes precedence.
+	NoOwners bool
+}
+
+// AppendReportJSON appends the report, filtered by sel, to dst exactly as
+// json.NewEncoder(w).Encode writes the filtered Report: the same key
+// order and escaping, and the trailing newline. Only scopes folded into
+// since the previous call are re-encoded; every other scope is copied
+// from its cached encoding. The appended bytes belong to the caller. A
+// Selection naming an unseen owner returns an error wrapping
+// ErrUnknownOwner.
+func (t *Tracker) AppendReportJSON(dst []byte, sel Selection) ([]byte, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	global, err := t.global.encodedValues()
+	if err != nil {
+		return dst, err
+	}
+	var owners []string
+	switch {
+	case sel.Owner != "":
+		if t.owners[sel.Owner] == nil {
+			return dst, fmt.Errorf("%w %q", ErrUnknownOwner, sel.Owner)
+		}
+		owners = []string{sel.Owner}
+	case !sel.NoOwners:
+		if t.sorted < len(t.order) {
+			slices.Sort(t.order)
+			t.sorted = len(t.order)
+		}
+		owners = t.order
+	}
+	size := len(`{"config":,"events":,"global":,"owners":{}}`+"\n") + len(t.cfgJSON) + 20 + len(global)
+	for _, owner := range owners {
+		sc := t.owners[owner]
+		enc, err := sc.encodedValues()
+		if err != nil {
+			return dst, err
+		}
+		size += len(sc.key) + 2 + len(enc)
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, `{"config":`...)
+	dst = append(dst, t.cfgJSON...)
+	dst = append(dst, `,"events":`...)
+	dst = strconv.AppendUint(dst, t.events, 10)
+	dst = append(dst, `,"global":`...)
+	dst = append(dst, global...)
+	if len(owners) > 0 {
+		dst = append(dst, `,"owners":{`...)
+		for i, owner := range owners {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			sc := t.owners[owner]
+			dst = append(dst, sc.key...)
+			dst = append(dst, ':')
+			dst = append(dst, sc.encoded...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // GlobalValues snapshots just the global scope — the cheap read metric

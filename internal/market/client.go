@@ -103,7 +103,13 @@ func (c *Client) do(method, path string, body, out any) error {
 	if err != nil {
 		return fmt.Errorf("market client: %w", err)
 	}
-	defer resp.Body.Close()
+	// Drain before closing: the transport reuses a keep-alive connection
+	// only when the body was read to EOF, and Submit, Accept and the
+	// decoders below all leave bytes (at least the trailing newline).
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		var eb errorBody
 		_ = json.NewDecoder(resp.Body).Decode(&eb)

@@ -179,21 +179,29 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status. It is the
+// one response writer every daemon API (market, scheduling, KPI) shares.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeRawJSON writes pre-encoded JSON without routing it through an
-// Encoder, which would re-parse the whole body to compact it. The paged
-// listing — the largest and hottest response — uses this with the bytes
-// Page.MarshalJSON already assembled.
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+// WriteJSONError writes the API's JSON error envelope, {"error": msg}.
+func WriteJSONError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg})
+}
+
+// WriteRawJSON writes a pre-encoded, newline-terminated JSON body with
+// its Content-Length, without routing it through an Encoder, which would
+// re-parse the whole body to compact it. The paged listing and the KPI
+// report — the largest responses — assemble their bytes by hand and use
+// this.
+func WriteRawJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
-	_, _ = w.Write([]byte{'\n'})
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -212,7 +220,7 @@ func writeError(w http.ResponseWriter, err error) {
 		// the client may retry once the disk recovers.
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	WriteJSONError(w, status, err.Error())
 }
 
 func (s *Server) handleOffers(w http.ResponseWriter, r *http.Request) {
@@ -227,7 +235,7 @@ func (s *Server) handleOffers(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, map[string]string{"id": f.ID})
+		WriteJSON(w, http.StatusCreated, map[string]string{"id": f.ID})
 	case http.MethodGet:
 		q, paged, err := parseListQuery(r.URL.Query())
 		if err != nil {
@@ -237,7 +245,7 @@ func (s *Server) handleOffers(w http.ResponseWriter, r *http.Request) {
 		if !paged {
 			// The pre-pagination contract: a bare or state-only listing
 			// returns the full record array.
-			writeJSON(w, http.StatusOK, s.store.List(q.States...))
+			WriteJSON(w, http.StatusOK, s.store.List(q.States...))
 			return
 		}
 		page, err := s.store.Page(q)
@@ -250,7 +258,7 @@ func (s *Server) handleOffers(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeRawJSON(w, http.StatusOK, body)
+		WriteRawJSON(w, http.StatusOK, append(body, '\n'))
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
@@ -280,19 +288,19 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 			writeError(w, fmt.Errorf("%w: %s", ErrNotFound, id))
 			return
 		}
-		writeJSON(w, http.StatusOK, rec)
+		WriteJSON(w, http.StatusOK, rec)
 	case action == "accept" && r.Method == http.MethodPost:
 		if err := s.store.Accept(id); err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"state": Accepted.String()})
+		WriteJSON(w, http.StatusOK, map[string]string{"state": Accepted.String()})
 	case action == "reject" && r.Method == http.MethodPost:
 		if err := s.store.Reject(id); err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"state": Rejected.String()})
+		WriteJSON(w, http.StatusOK, map[string]string{"state": Rejected.String()})
 	case action == "assign" && r.Method == http.MethodPost:
 		var req assignRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -304,7 +312,7 @@ func (s *Server) handleOffer(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, asg)
+		WriteJSON(w, http.StatusOK, asg)
 	default:
 		w.WriteHeader(http.StatusMethodNotAllowed)
 	}
@@ -315,7 +323,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.store.Stats())
+	WriteJSON(w, http.StatusOK, s.store.Stats())
 }
 
 func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
@@ -328,5 +336,5 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"expired": n})
+	WriteJSON(w, http.StatusOK, map[string]int{"expired": n})
 }

@@ -1,13 +1,13 @@
 package sched
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/market"
 )
 
 // AggregateView is the JSON shape of one aggregate on GET /aggregates.
@@ -61,21 +61,21 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) handleAggregates(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		schedError(w, http.StatusMethodNotAllowed, "method not allowed")
+		market.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	limit := -1
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
-			schedError(w, http.StatusBadRequest, "limit must be a non-negative integer")
+			market.WriteJSONError(w, http.StatusBadRequest, "limit must be a non-negative integer")
 			return
 		}
 		limit = n
 	}
 	aggs, err := s.Aggregates()
 	if err != nil {
-		schedError(w, http.StatusInternalServerError, err.Error())
+		market.WriteJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	views := make([]AggregateView, 0, len(aggs))
@@ -85,7 +85,7 @@ func (s *Service) handleAggregates(w http.ResponseWriter, r *http.Request) {
 		}
 		views = append(views, viewOf(a))
 	}
-	schedJSON(w, http.StatusOK, struct {
+	market.WriteJSON(w, http.StatusOK, struct {
 		Aggregates []AggregateView      `json:"aggregates"`
 		Total      int                  `json:"total"`
 		Stats      agg.IncrementalStats `json:"stats"`
@@ -94,15 +94,15 @@ func (s *Service) handleAggregates(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		schedError(w, http.StatusMethodNotAllowed, "method not allowed")
+		market.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	schedJSON(w, http.StatusOK, s.Status())
+	market.WriteJSON(w, http.StatusOK, s.Status())
 }
 
 func (s *Service) handleScheduleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		schedError(w, http.StatusMethodNotAllowed, "method not allowed")
+		market.WriteJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	summary, err := s.RunOnce()
@@ -111,22 +111,8 @@ func (s *Service) handleScheduleRun(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrLedger) {
 			status = http.StatusServiceUnavailable
 		}
-		schedError(w, status, err.Error())
+		market.WriteJSONError(w, status, err.Error())
 		return
 	}
-	schedJSON(w, http.StatusOK, summary)
-}
-
-// schedJSON writes a JSON response.
-func schedJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// schedError writes the API's JSON error envelope.
-func schedError(w http.ResponseWriter, status int, msg string) {
-	schedJSON(w, status, struct {
-		Error string `json:"error"`
-	}{Error: msg})
+	market.WriteJSON(w, http.StatusOK, summary)
 }
